@@ -39,6 +39,7 @@ fuzz_smoke() {
 }
 fuzz_smoke ./internal/tsdb FuzzDecodeLine
 fuzz_smoke ./internal/tsdb FuzzEncodeDecodeRoundTrip
+fuzz_smoke ./internal/tsdb FuzzCodecDifferential
 fuzz_smoke ./internal/tsdb FuzzBatchFrame
 fuzz_smoke ./internal/tsdb FuzzParseQuery
 fuzz_smoke ./internal/tsdb FuzzBlockDecode

@@ -33,13 +33,32 @@ func EncodeBatchBody(items [][]byte) []byte {
 	for _, it := range items {
 		size += binary.MaxVarintLen64 + len(it)
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, batchMagic[:]...)
-	buf = binary.AppendUvarint(buf, uint64(len(items)))
+	buf := AppendBatchHeader(make([]byte, 0, size), len(items))
 	for _, it := range items {
 		buf = binary.AppendUvarint(buf, uint64(len(it)))
 		buf = append(buf, it...)
 	}
+	return buf
+}
+
+// AppendBatchHeader appends the envelope header for a batch of count
+// items to dst. Callers that render items in place follow it with
+// count items, each appended to the buffer and then closed with
+// FrameBatchItem; the result is EncodeBatchBody's, byte for byte.
+func AppendBatchHeader(dst []byte, count int) []byte {
+	dst = append(dst, batchMagic[:]...)
+	return binary.AppendUvarint(dst, uint64(count))
+}
+
+// FrameBatchItem length-prefixes the item occupying buf[mark:], shifting
+// it right by the width of its uvarint length, and returns the grown
+// buffer.
+func FrameBatchItem(buf []byte, mark int) []byte {
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(len(buf)-mark))
+	buf = append(buf, hdr[:h]...)
+	copy(buf[mark+h:], buf[mark:len(buf)-h])
+	copy(buf[mark:], hdr[:h])
 	return buf
 }
 

@@ -37,6 +37,25 @@ func TestBatchBodyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchBodyInPlace builds envelopes item by item in one buffer —
+// rendering each item and then framing it — and checks the bytes equal
+// EncodeBatchBody's, across one-, two- and three-byte length prefixes.
+func TestBatchBodyInPlace(t *testing.T) {
+	items := [][]byte{
+		[]byte(""), []byte("x"), bytes.Repeat([]byte("a"), 127),
+		bytes.Repeat([]byte("b"), 128), bytes.Repeat([]byte("c"), 16384),
+	}
+	buf := AppendBatchHeader([]byte("keep"), len(items))
+	for _, it := range items {
+		mark := len(buf)
+		buf = append(buf, it...)
+		buf = FrameBatchItem(buf, mark)
+	}
+	if want := append([]byte("keep"), EncodeBatchBody(items)...); !bytes.Equal(buf, want) {
+		t.Fatalf("in-place envelope differs from EncodeBatchBody (%d vs %d bytes)", len(buf), len(want))
+	}
+}
+
 func TestBatchBodyDiscriminator(t *testing.T) {
 	// Plain record bodies — line protocol, JSON — must never read as
 	// batch envelopes: the magic's leading NUL cannot appear there.

@@ -370,7 +370,7 @@ func wireBytes(s Sample) int64 {
 func ToPoint(s Sample, tag string, timeNanos int64) tsdb.Point {
 	p := tsdb.Point{
 		Measurement: tsdb.MeasurementName(s.Metric),
-		Fields:      map[string]float64{},
+		Fields:      make(map[string]float64, len(s.Values)),
 		Time:        timeNanos,
 	}
 	if tag != "" {

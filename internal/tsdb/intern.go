@@ -3,6 +3,7 @@ package tsdb
 import (
 	"encoding/binary"
 	"sort"
+	"strings"
 )
 
 // String interning for the columnar store. Every point used to carry
@@ -14,13 +15,17 @@ import (
 // An interner is guarded by its shard's mutex — no locking here.
 type interner map[string]string
 
-// intern returns the canonical instance of s, storing it on first use.
+// intern returns the canonical instance of s, storing a copy on first
+// use. The copy matters: DecodeLine returns names as substrings of the
+// line, so storing s itself would pin a whole WRITEB line, WAL record
+// or legacy snapshot image for as long as the name lives.
 func (in interner) intern(s string) string {
 	if c, ok := in[s]; ok {
 		return c
 	}
-	in[s] = s
-	return s
+	c := strings.Clone(s)
+	in[c] = c
+	return c
 }
 
 // appendSeriesKey appends the canonical series identity — measurement

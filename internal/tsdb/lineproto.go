@@ -4,9 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Typed line-protocol errors. Fuzzing shook out a family of inputs the
@@ -39,53 +40,124 @@ func EncodeLine(p Point) (string, error) {
 	if err := p.Validate(); err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	b.WriteString(escapeLP(p.Measurement))
-	tagKeys := make([]string, 0, len(p.Tags))
-	for k := range p.Tags {
-		tagKeys = append(tagKeys, k)
-	}
-	sort.Strings(tagKeys)
-	for _, k := range tagKeys {
-		b.WriteByte(',')
-		b.WriteString(escapeLP(k))
-		b.WriteByte('=')
-		b.WriteString(escapeLP(p.Tags[k]))
-	}
-	b.WriteByte(' ')
-	fieldKeys := make([]string, 0, len(p.Fields))
-	for k := range p.Fields {
-		fieldKeys = append(fieldKeys, k)
-	}
-	sort.Strings(fieldKeys)
-	for i, k := range fieldKeys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(escapeLP(k))
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatFloat(p.Fields[k], 'g', -1, 64))
-	}
-	fmt.Fprintf(&b, " %d", p.Time)
-	return b.String(), nil
+	bp := getBuf()
+	defer putBuf(bp)
+	*bp = appendLine(*bp, &p)
+	return string(*bp), nil
 }
 
-// DecodeLine parses one line-protocol line.
-func DecodeLine(line string) (Point, error) {
-	parts := splitUnescaped(line, ' ')
-	if len(parts) != 3 {
-		return Point{}, fmt.Errorf("tsdb: line protocol needs 3 sections, got %d in %q", len(parts), line)
+// keyScratch pools the key slices appendLine sorts, so encoding a point
+// allocates nothing once the destination buffer is large enough.
+var keyScratch = sync.Pool{New: func() any { return new([]string) }}
+
+// appendLine appends the line-protocol encoding of p (see EncodeLine)
+// to dst. p must already have passed Validate.
+func appendLine(dst []byte, p *Point) []byte {
+	kp := keyScratch.Get().(*[]string)
+	keys := (*kp)[:0]
+	dst = appendEscaped(dst, p.Measurement)
+	for k := range p.Tags {
+		keys = append(keys, k)
 	}
-	p := Point{Tags: map[string]string{}, Fields: map[string]float64{}}
+	slices.Sort(keys)
+	for _, k := range keys {
+		dst = append(dst, ',')
+		dst = appendEscaped(dst, k)
+		dst = append(dst, '=')
+		dst = appendEscaped(dst, p.Tags[k])
+	}
+	dst = append(dst, ' ')
+	keys = keys[:0]
+	for k := range p.Fields {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendEscaped(dst, k)
+		dst = append(dst, '=')
+		dst = strconv.AppendFloat(dst, p.Fields[k], 'g', -1, 64)
+	}
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, p.Time, 10)
+	clear(keys) // drop references to the point's keys before pooling
+	*kp = keys[:0]
+	keyScratch.Put(kp)
+	return dst
+}
+
+// needsEscape reports whether c must be backslash-escaped in a name.
+// The backslash itself is escaped too: without it a name ending in '\'
+// swallows the section separator on decode and the line desyncs.
+func needsEscape(c byte) bool {
+	return c == '\\' || c == ',' || c == ' ' || c == '='
+}
+
+// appendEscaped appends s to dst with line-protocol escapes. A name
+// with nothing to escape is appended in one copy.
+func appendEscaped(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if needsEscape(s[i]) {
+			dst = append(dst, s[:i]...)
+			for ; i < len(s); i++ {
+				if needsEscape(s[i]) {
+					dst = append(dst, '\\')
+				}
+				dst = append(dst, s[i])
+			}
+			return dst
+		}
+	}
+	return append(dst, s...)
+}
+
+// DecodeLine parses one line-protocol line. One scan locates the three
+// sections (and counts their separators to pre-size the maps); each
+// section is then parsed in place. Names without escapes are returned
+// as substrings of line, sharing its memory — stores that retain a name
+// copy it first (see interner.intern).
+func DecodeLine(line string) (Point, error) {
+	sp1, sp2, sections := -1, -1, 1
+	tagSeps, fieldSeps := 0, 0
+	for i := 0; i < len(line); i++ {
+		switch line[i] {
+		case '\\':
+			i++
+		case ' ':
+			sections++
+			if sp1 < 0 {
+				sp1 = i
+			} else if sp2 < 0 {
+				sp2 = i
+			}
+		case ',':
+			if sp1 < 0 {
+				tagSeps++
+			} else if sp2 < 0 {
+				fieldSeps++
+			}
+		}
+	}
+	if sections != 3 {
+		return Point{}, fmt.Errorf("tsdb: line protocol needs 3 sections, got %d in %q", sections, line)
+	}
+	p := Point{
+		Tags:   make(map[string]string, tagSeps),
+		Fields: make(map[string]float64, fieldSeps+1),
+	}
 	// Section 1: measurement and tags.
-	head := splitUnescaped(parts[0], ',')
-	p.Measurement = unescapeLP(head[0])
-	for _, kv := range head[1:] {
-		pair := splitUnescaped(kv, '=')
-		if len(pair) != 2 {
+	meas, rest, more := cutUnescaped(line[:sp1], ',')
+	p.Measurement = unescapeLP(meas)
+	for more {
+		var kv string
+		kv, rest, more = cutUnescaped(rest, ',')
+		k, v, ok := cutUnescaped(kv, '=')
+		if !ok || hasUnescaped(v, '=') {
 			return Point{}, fmt.Errorf("tsdb: bad tag %q", kv)
 		}
-		k, v := unescapeLP(pair[0]), unescapeLP(pair[1])
+		k, v = unescapeLP(k), unescapeLP(v)
 		if k == "" || v == "" {
 			return Point{}, fmt.Errorf("%w: tag %q", ErrEmptyKey, kv)
 		}
@@ -95,41 +167,41 @@ func DecodeLine(line string) (Point, error) {
 		p.Tags[k] = v
 	}
 	// Section 2: fields.
-	for _, kv := range splitUnescaped(parts[1], ',') {
-		pair := splitUnescaped(kv, '=')
-		if len(pair) != 2 {
+	rest, more = line[sp1+1:sp2], true
+	for more {
+		var kv string
+		kv, rest, more = cutUnescaped(rest, ',')
+		k, raw, ok := cutUnescaped(kv, '=')
+		if !ok || hasUnescaped(raw, '=') {
 			return Point{}, fmt.Errorf("tsdb: bad field %q", kv)
 		}
-		v, err := strconv.ParseFloat(pair[1], 64)
+		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
-			return Point{}, fmt.Errorf("tsdb: bad field value %q: %v", pair[1], err)
+			return Point{}, fmt.Errorf("tsdb: bad field value %q: %v", raw, err)
 		}
-		k := unescapeLP(pair[0])
+		k = unescapeLP(k)
 		if _, dup := p.Fields[k]; dup {
 			return Point{}, fmt.Errorf("%w: field %q", ErrDuplicateKey, k)
 		}
 		p.Fields[k] = v
 	}
 	// Section 3: timestamp.
-	ts, err := strconv.ParseInt(parts[2], 10, 64)
+	ts, err := strconv.ParseInt(line[sp2+1:], 10, 64)
 	if err != nil {
-		return Point{}, fmt.Errorf("tsdb: bad timestamp %q: %v", parts[2], err)
+		return Point{}, fmt.Errorf("tsdb: bad timestamp %q: %v", line[sp2+1:], err)
 	}
 	p.Time = ts
 	return p, p.Validate()
 }
 
-func escapeLP(s string) string {
-	// The backslash must be escaped first (NewReplacer never rescans its
-	// own output, so the ordering here is belt-and-braces documentation):
-	// without it a name ending in '\' swallows the section separator on
-	// decode and the line desyncs.
-	r := strings.NewReplacer(`\`, `\\`, ",", `\,`, " ", `\ `, "=", `\=`)
-	return r.Replace(s)
-}
-
+// unescapeLP drops the backslash of every escape pair. A string with no
+// backslash is returned as is, without copying.
 func unescapeLP(s string) string {
+	if strings.IndexByte(s, '\\') < 0 {
+		return s
+	}
 	var b strings.Builder
+	b.Grow(len(s))
 	for i := 0; i < len(s); i++ {
 		if s[i] == '\\' && i+1 < len(s) {
 			i++
@@ -139,22 +211,24 @@ func unescapeLP(s string) string {
 	return b.String()
 }
 
-// splitUnescaped splits on sep, honouring backslash escapes.
-func splitUnescaped(s string, sep byte) []string {
-	var out []string
-	start := 0
+// cutUnescaped slices s around the first sep not escaped by a
+// backslash, like strings.Cut.
+func cutUnescaped(s string, sep byte) (before, after string, found bool) {
 	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' {
+		switch s[i] {
+		case '\\':
 			i++
-			continue
-		}
-		if s[i] == sep {
-			out = append(out, s[start:i])
-			start = i + 1
+		case sep:
+			return s[:i], s[i+1:], true
 		}
 	}
-	out = append(out, s[start:])
-	return out
+	return s, "", false
+}
+
+// hasUnescaped reports whether s holds a sep not escaped by a backslash.
+func hasUnescaped(s string, sep byte) bool {
+	_, _, found := cutUnescaped(s, sep)
+	return found
 }
 
 // validateFinite rejects NaN and ±Inf field values with the typed error.

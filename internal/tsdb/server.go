@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -540,25 +539,34 @@ func (c *Client) WriteBatchContext(ctx context.Context, ps []Point) error {
 	if len(ps) == 0 {
 		return nil
 	}
-	lines := make([]string, len(ps))
+	// Validate and encode the body once, up front; each attempt only
+	// renders its own header (the trace tag is per attempt) ahead of it.
+	bp := getBuf()
+	defer putBuf(bp)
+	body := *bp
 	for i := range ps {
-		line, err := EncodeLine(ps[i])
-		if err != nil {
+		if err := ps[i].Validate(); err != nil {
 			return &BatchError{Index: i, Err: err}
 		}
-		lines[i] = line
+		body = appendLine(body, &ps[i])
+		body = append(body, '\n')
 	}
+	*bp = body
 	token := resilience.NextOpToken()
+	fp := getBuf()
+	defer putBuf(fp)
 	return c.tr.DoContext(ctx, func(ctx context.Context, w *resilience.Wire) error {
-		// One buffered write for the whole frame: header + body reach the
-		// kernel together, so a monitoring tick is one syscall + one RTT.
-		var b strings.Builder
-		fmt.Fprintf(&b, "WRITEB %s%d id=%s\n", wireTag(ctx), len(lines), token)
-		for _, line := range lines {
-			b.WriteString(line)
-			b.WriteByte('\n')
-		}
-		if _, err := io.WriteString(w.Conn, b.String()); err != nil {
+		// One write for the whole frame: header + body reach the kernel
+		// together, so a monitoring tick is one syscall + one RTT.
+		frame := append((*fp)[:0], "WRITEB "...)
+		frame = append(frame, wireTag(ctx)...)
+		frame = strconv.AppendInt(frame, int64(len(ps)), 10)
+		frame = append(frame, " id="...)
+		frame = append(frame, token...)
+		frame = append(frame, '\n')
+		frame = append(frame, body...)
+		*fp = frame
+		if _, err := w.Conn.Write(frame); err != nil {
 			return err
 		}
 		resp, err := w.R.ReadString('\n')

@@ -27,6 +27,7 @@ package tsdb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -59,13 +60,19 @@ func (p *Point) Validate() error {
 	if len(p.Fields) == 0 {
 		return fmt.Errorf("tsdb: point in %q has no fields", p.Measurement)
 	}
+	// An empty field name outranks a non-finite value, so a point with
+	// both is rejected with the same class whatever the map order.
+	var nonFinite error
 	for k, v := range p.Fields {
 		if k == "" {
 			return fmt.Errorf("%w: point in %q has an empty field name", ErrEmptyKey, p.Measurement)
 		}
-		if err := validateFinite(p.Measurement, k, v); err != nil {
-			return err
+		if nonFinite == nil {
+			nonFinite = validateFinite(p.Measurement, k, v)
 		}
+	}
+	if nonFinite != nil {
+		return nonFinite
 	}
 	for k, v := range p.Tags {
 		if k == "" || v == "" {
@@ -173,8 +180,9 @@ func (sh *shard) insertSeriesRow(s *memSeries, t int64, fields map[string]float6
 	}
 }
 
-// insertLocked lands one validated point. Callers hold sh.mu.
-func (sh *shard) insertLocked(p Point) {
+// insertLocked lands one validated point and returns the interned
+// measurement name. Callers hold sh.mu.
+func (sh *shard) insertLocked(p Point) string {
 	m := sh.measurements[p.Measurement]
 	if m == nil {
 		name := sh.intern.intern(p.Measurement)
@@ -185,14 +193,16 @@ func (sh *shard) insertLocked(p Point) {
 	sh.insertSeriesRow(s, p.Time, p.Fields)
 	sh.points++
 	sh.values += uint64(len(p.Fields))
+	return m.name
 }
 
 // insertRun lands every point of ps whose shard index (precomputed in
 // idx) equals self, under ONE lock acquisition — the atomic-per-shard
 // leg of a batch write. Consecutive points of the same measurement and
 // tag set skip the map and series-key lookups, and the stats counters
-// are bumped once per run.
-func (sh *shard) insertRun(ps []Point, idx []uint32, self uint32) {
+// are bumped once per run. The interned name of each measurement run is
+// appended to names, which is returned.
+func (sh *shard) insertRun(ps []Point, idx []uint32, self uint32, names []string) []string {
 	sh.mu.Lock()
 	var lastM *measurement
 	var rows, vals uint64
@@ -210,6 +220,7 @@ func (sh *shard) insertRun(ps []Point, idx []uint32, self uint32) {
 				sh.measurements[name] = m
 			}
 			lastM = m
+			names = append(names, m.name)
 		}
 		s := sh.seriesFor(m, p.Tags)
 		sh.insertSeriesRow(s, p.Time, p.Fields)
@@ -219,6 +230,7 @@ func (sh *shard) insertRun(ps []Point, idx []uint32, self uint32) {
 	sh.points += rows
 	sh.values += vals
 	sh.mu.Unlock()
+	return names
 }
 
 // DB is a time-series database: in-memory by default (New), optionally
@@ -347,11 +359,11 @@ func (db *DB) WritePoint(p Point) error {
 		return fmt.Errorf("tsdb: write to closed durable DB")
 	}
 	if db.store != nil {
-		line, err := EncodeLine(p)
+		bp := getBuf()
+		*bp = appendLine(*bp, &p)
+		_, err := db.store.Append(*bp)
+		putBuf(bp)
 		if err != nil {
-			return err
-		}
-		if _, err := db.store.Append([]byte(line)); err != nil {
 			// Not logged → not acknowledged; the in-memory state must not
 			// run ahead of what recovery can reconstruct.
 			return fmt.Errorf("tsdb: wal append: %w", err)
@@ -359,11 +371,13 @@ func (db *DB) WritePoint(p Point) error {
 	}
 	sh := db.shardFor(p.Measurement)
 	sh.mu.Lock()
-	sh.insertLocked(p)
+	name := sh.insertLocked(p)
 	sh.mu.Unlock()
 	// Invalidate after the point is visible and before acknowledging:
-	// a cache hit must never be older than an acknowledged write.
-	db.qcache.invalidate(p.Measurement)
+	// a cache hit must never be older than an acknowledged write. The
+	// interned name keys the cache: p.Measurement may be a substring
+	// of a decoded line, which a map key would keep alive.
+	db.qcache.invalidate(name)
 	db.publishStorageGauges()
 	return nil
 }
@@ -436,20 +450,19 @@ func (db *DB) WriteBatchContext(ctx context.Context, ps []Point) error {
 		idx[i] = shardIndex(ps[i].Measurement)
 		touched[idx[i]] = true
 	}
+	var nameBuf [8]string
+	names := nameBuf[:0]
 	for s := uint32(0); s < NumShards; s++ {
 		if touched[s] {
-			db.shards[s].insertRun(ps, idx, s)
+			names = db.shards[s].insertRun(ps, idx, s, names)
 		}
 	}
 	// Invalidate every written measurement after the batch is visible
-	// and before acknowledging (deduplicated — batches repeat names).
-	seen := make(map[string]struct{}, 4)
-	for i := range ps {
-		if _, ok := seen[ps[i].Measurement]; ok {
-			continue
-		}
-		seen[ps[i].Measurement] = struct{}{}
-		db.qcache.invalidate(ps[i].Measurement)
+	// and before acknowledging (deduplicated — batches repeat names),
+	// by interned name, as WritePoint does.
+	slices.Sort(names)
+	for _, name := range slices.Compact(names) {
+		db.qcache.invalidate(name)
 	}
 	db.publishStorageGauges()
 	return nil
@@ -457,30 +470,46 @@ func (db *DB) WriteBatchContext(ctx context.Context, ps []Point) error {
 
 // appendBatchLocked group-commits a validated batch to the WAL as one
 // record (plain line body for a single point, batch envelope
-// otherwise). Callers hold db.mu shared with store non-nil.
+// otherwise), encoding every line straight into the record buffer.
+// Callers hold db.mu shared with store non-nil.
 func (db *DB) appendBatchLocked(ps []Point) error {
+	bp := getBuf()
+	defer putBuf(bp)
+	buf := *bp
 	if len(ps) == 1 {
-		line, err := EncodeLine(ps[0])
-		if err != nil {
-			return &BatchError{Index: 0, Err: err}
+		buf = appendLine(buf, &ps[0])
+	} else {
+		buf = storage.AppendBatchHeader(buf, len(ps))
+		for i := range ps {
+			mark := len(buf)
+			buf = appendLine(buf, &ps[i])
+			buf = storage.FrameBatchItem(buf, mark)
 		}
-		if _, err := db.store.Append([]byte(line)); err != nil {
-			return &BatchError{Index: 0, Err: fmt.Errorf("tsdb: wal append: %w", err)}
-		}
-		return nil
 	}
-	bodies := make([][]byte, len(ps))
-	for i := range ps {
-		line, err := EncodeLine(ps[i])
-		if err != nil {
-			return &BatchError{Index: i, Err: err}
-		}
-		bodies[i] = []byte(line)
-	}
-	if _, err := db.store.Append(storage.EncodeBatchBody(bodies)); err != nil {
+	*bp = buf
+	if _, err := db.store.Append(buf); err != nil {
 		return &BatchError{Index: 0, Err: fmt.Errorf("tsdb: wal append: %w", err)}
 	}
 	return nil
+}
+
+// bufPool recycles the encode buffers of WAL records and WRITEB frames.
+// Buffers larger than maxPooledBuf (a rare giant batch) are dropped
+// rather than pinned by the pool.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBuf = 1 << 20
+
+func getBuf() *[]byte {
+	bp := bufPool.Get().(*[]byte)
+	*bp = (*bp)[:0]
+	return bp
+}
+
+func putBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBuf {
+		bufPool.Put(bp)
+	}
 }
 
 // Measurements lists all measurement names, sorted.
@@ -987,6 +1016,7 @@ func (db *DB) execRaw(q *Query) (*Result, error) {
 // "perfevent.hwcounters.FP_ARITH:SCALAR_DOUBLE" ->
 // "perfevent_hwcounters_FP_ARITH_SCALAR_DOUBLE" (Listing 1).
 func MeasurementName(metric string) string {
-	r := strings.NewReplacer(".", "_", ":", "_", "-", "_")
-	return r.Replace(metric)
+	return measurementReplacer.Replace(metric)
 }
+
+var measurementReplacer = strings.NewReplacer(".", "_", ":", "_", "-", "_")
