@@ -229,7 +229,7 @@ fi
 # deprecated wrappers (one-line delegates to the Context twin); pure
 # accessors and the shutdown path are exempt. A NEW context-free wire
 # method fails here — add the ...Context form and wrap it instead.
-client_wrappers='Write|WritePoint|WriteBatch|Query|Ping|Insert|InsertBatch|Upsert|Find|Get|Count|ReportJob|ReportKB|ReportObservation|Hosts|QueryObservation'
+client_wrappers='Write|WritePoint|Query|Ping|Insert|Upsert|Find|Get|Count|ReportJob|ReportKB|ReportObservation|Hosts|QueryObservation'
 client_accessors='Stats|Transport|Close|SetIntrospection|SetLogger'
 client_violations=$(grep -h 'func (c \*Client) [A-Z]\|func (r \*Remote) [A-Z]' \
     internal/tsdb/*.go internal/docdb/*.go internal/superdb/*.go \
@@ -244,15 +244,28 @@ fi
 # Same rule for the embedded DB's query entry points: a NEW exported
 # Execute*/Query*/Write* method on tsdb.DB is cancellable work (the
 # aggregation engine checks ctx between stripes) and must take ctx
-# first. Execute, QueryString, WritePoint and WriteBatch are the
-# grandfathered context-free wrappers.
-db_wrappers='Execute|QueryString|WritePoint|WriteBatch'
+# first. Execute, QueryString and WritePoint are the grandfathered
+# context-free wrappers.
+db_wrappers='Execute|QueryString|WritePoint'
 db_violations=$(grep -hE 'func \(db \*DB\) (Execute|Query|Write)[A-Za-z]*\(' internal/tsdb/*.go \
     | grep -v 'ctx context\.Context' \
     | grep -Ev "\) ($db_wrappers)\(" || true)
 if [ -n "$db_violations" ]; then
     echo "context-first API gate: exported tsdb.DB query/write methods must take 'ctx context.Context' first:" >&2
     echo "$db_violations" >&2
+    exit 1
+fi
+
+# Skeleton gate: the tsdb and docdb wire servers are protocol handlers
+# on internal/lineserver, which owns listening, accepting and the
+# per-connection scanner. Non-test code in those packages that listens,
+# accepts or scans a raw connection is the duplicated skeleton growing
+# back.
+skeleton_violations=$(find internal/tsdb internal/docdb -name '*.go' ! -name '*_test.go' \
+    -exec grep -nE 'net\.Listen\(|\.Accept\(\)|bufio\.NewScanner\(conn\)' {} + || true)
+if [ -n "$skeleton_violations" ]; then
+    echo "server skeleton gate: tsdb/docdb servers must run on internal/lineserver:" >&2
+    echo "$skeleton_violations" >&2
     exit 1
 fi
 

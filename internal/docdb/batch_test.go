@@ -69,8 +69,8 @@ func TestClientInsertBatch(t *testing.T) {
 		t.Fatalf("collection holds %d docs, want 4 (3 + applied prefix of 1)", n)
 	}
 
-	// Deprecated wrapper agrees.
-	if ids, err := c.InsertBatch("jobs", []Doc{{"name": "d"}}); err != nil || len(ids) != 1 {
-		t.Fatalf("deprecated InsertBatch: ids=%v err=%v", ids, err)
+	// A one-doc batch lands too.
+	if ids, err := c.InsertBatchContext(context.Background(), "jobs", []Doc{{"name": "d"}}); err != nil || len(ids) != 1 {
+		t.Fatalf("one-doc InsertBatchContext: ids=%v err=%v", ids, err)
 	}
 }

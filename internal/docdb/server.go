@@ -6,13 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
-	"sync"
-	"time"
 
 	"pmove/internal/introspect"
-	"pmove/internal/introspect/logbuf"
+	"pmove/internal/lineserver"
 	"pmove/internal/resilience"
 )
 
@@ -40,177 +37,68 @@ type response struct {
 	Names []string `json:"names,omitempty"`
 }
 
-// Server exposes a DB over TCP, one JSON request/response per line.
-type Server struct {
-	db *DB
+// maxLineBytes caps one request line.
+const maxLineBytes = 16 << 20
 
-	mu    sync.Mutex
-	ln    net.Listener
-	conns map[net.Conn]bool
-	wg    sync.WaitGroup
-	obs   func(op string, err error)
-	in    *introspect.Introspector
-	log   *logbuf.Logger
-	slow  time.Duration
+// Server exposes a DB over TCP, one JSON request/response per line.
+// Connections, Close's drain, the over-long-line reply and the
+// SetTracing/SetLogger bundle come from the shared line-server base
+// (DESIGN.md "Wire-server base"); Close then syncs the DB. Server spans
+// are docdb.server.<op> with parse/queue/exec children.
+type Server struct {
+	*lineserver.Server
+	db *DB
 }
 
 // NewServer wraps a DB.
-func NewServer(db *DB) *Server { return &Server{db: db, conns: map[net.Conn]bool{}} }
-
-// SetObserver installs a per-op hook called after every dispatched
-// request with the op name and its outcome — same shape as
-// tsdb.Server.SetObserver, for the daemon's self-observability wiring.
-func (s *Server) SetObserver(fn func(op string, err error)) {
-	s.mu.Lock()
-	s.obs = fn
-	s.mu.Unlock()
+func NewServer(db *DB) *Server {
+	s := &Server{db: db}
+	s.Server = lineserver.New("docdb", maxLineBytes, s.serveLine, replyErr)
+	return s
 }
 
-// SetTracing attaches an introspector whose tracer records server-side
-// spans (docdb.server.<op> with parse/queue/exec children). Requests
-// carrying a traceparent field join the caller's distributed trace;
-// untagged requests open local root spans. Nil disables server tracing.
-func (s *Server) SetTracing(in *introspect.Introspector) {
-	s.mu.Lock()
-	s.in = in
-	s.mu.Unlock()
+// Close stops serving (every in-flight handler drains, so an accepted
+// mutation has finished) and then syncs the DB, so a graceful shutdown
+// never loses an acknowledged op, whatever the fsync policy.
+func (s *Server) Close() error {
+	s.Server.Close()
+	return s.db.Sync()
 }
 
-func (s *Server) tracing() *introspect.Introspector {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.in
-}
+func replyErr(w *bufio.Writer, msg string) { json.NewEncoder(w).Encode(response{Error: msg}) }
 
-func (s *Server) observe(op string, err error) {
-	s.mu.Lock()
-	fn := s.obs
-	s.mu.Unlock()
-	if fn != nil {
-		fn(op, err)
+func (s *Server) serveLine(c *lineserver.Conn, line []byte) bool {
+	var req request
+	if err := json.Unmarshal(line, &req); err != nil {
+		replyErr(c.W, err.Error())
+		return true
 	}
-}
-
-// SetLogger attaches a structured log ring (conventionally a
-// "docdb.server" component child). Ops slower than slowThreshold emit a
-// warn record carrying the request's wire traceparent; zero logs every
-// op, negative disables the slow-op path (failed ops still log). Ping
-// never logs. A nil logger disables everything.
-func (s *Server) SetLogger(lg *logbuf.Logger, slowThreshold time.Duration) {
-	s.mu.Lock()
-	s.log = lg
-	s.slow = slowThreshold
-	s.mu.Unlock()
-}
-
-// logOp emits the per-op structured record: errors always, slow ops at
-// the threshold. sctx carries the server span (the record's trace
-// identity); the traceparent field is the raw wire tag.
-func (s *Server) logOp(sctx context.Context, op, traceparent string, arrivalNanos int64, err error) {
-	s.mu.Lock()
-	lg, slow := s.log, s.slow
-	s.mu.Unlock()
-	if lg == nil || op == "ping" {
-		return
+	// The trace context rides inside the JSON just decoded, so the op and
+	// parse spans are backdated to frame arrival — decode time is inside
+	// the trace even though the tag is read after it.
+	ctx := context.Background()
+	if remote, ok := introspect.ParseTraceparent(req.Traceparent); ok {
+		ctx = introspect.ContextWithSpanContext(ctx, remote)
 	}
-	elapsed := time.Duration(time.Now().UnixNano() - arrivalNanos)
-	if err != nil {
-		lg.Error(sctx, "op failed", "op", op, "duration", elapsed.String(), "error", err.Error())
-		return
+	in := c.Tracer()
+	name := strings.ToLower(req.Op)
+	octx, op := in.StartSpanAt(ctx, "docdb.server."+name, c.Arrival)
+	_, ps := in.StartSpanAt(octx, "docdb.server.parse", c.Arrival)
+	ps.End(nil)
+	_, qs := in.StartSpan(octx, "docdb.server.queue")
+	qs.End(nil)
+	_, is := in.StartSpan(octx, "docdb.server.exec")
+	resp := s.dispatch(&req)
+	var err error
+	if resp.Error != "" {
+		err = errors.New(resp.Error)
 	}
-	if slow < 0 || elapsed < slow {
-		return
-	}
-	kv := []string{"op", op, "duration", elapsed.String()}
-	if traceparent != "" {
-		kv = append(kv, "traceparent", traceparent)
-	}
-	lg.Warn(sctx, "slow op", kv...)
-}
-
-// Listen starts serving and returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("docdb: listen: %w", err)
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			s.conns[conn] = true
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go s.handle(conn)
-		}
-	}()
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	enc := json.NewEncoder(conn)
-	for sc.Scan() {
-		arrival := time.Now().UnixNano()
-		var req request
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-			if encErr := enc.Encode(response{Error: err.Error()}); encErr != nil {
-				return
-			}
-			continue
-		}
-		// The trace context rides inside the JSON we just decoded, so the
-		// op and parse spans are backdated to frame arrival — decode time
-		// is inside the trace even though the tag is read after it.
-		ctx := context.Background()
-		if remote, ok := introspect.ParseTraceparent(req.Traceparent); ok {
-			ctx = introspect.ContextWithSpanContext(ctx, remote)
-		}
-		in := s.tracing()
-		octx, op := in.StartSpanAt(ctx, "docdb.server."+strings.ToLower(req.Op), arrival)
-		_, ps := in.StartSpanAt(octx, "docdb.server.parse", arrival)
-		ps.End(nil)
-		_, qs := in.StartSpan(octx, "docdb.server.queue")
-		qs.End(nil)
-		_, is := in.StartSpan(octx, "docdb.server.exec")
-		resp := s.dispatch(&req)
-		var derr error
-		if resp.Error != "" {
-			derr = errors.New(resp.Error)
-		}
-		is.End(derr)
-		op.End(derr)
-		s.logOp(octx, strings.ToLower(req.Op), req.Traceparent, arrival, derr)
-		s.observe(strings.ToLower(req.Op), derr)
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-	}
-	// Mirror tsdb: a scanner failure (line over the buffer cap) gets an
-	// explicit error response instead of a silent hangup.
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			enc.Encode(response{Error: "line too long"})
-		} else {
-			enc.Encode(response{Error: err.Error()})
-		}
-	}
+	is.End(err)
+	op.End(err)
+	c.LogOp(octx, ctx, name, err)
+	// A response that cannot be encoded hangs up rather than leave the
+	// client waiting for a reply that never comes.
+	return json.NewEncoder(c.W).Encode(resp) == nil
 }
 
 func (s *Server) dispatch(req *request) response {
@@ -262,24 +150,6 @@ func (s *Server) dispatch(req *request) response {
 		return response{OK: true}
 	}
 	return response{Error: fmt.Sprintf("unknown op %q", req.Op)}
-}
-
-// Close stops the server: listener and idle connections torn down,
-// in-flight handlers drained (an accepted mutation finishes before the
-// DB is considered final), then the DB's WAL flushed — a graceful
-// shutdown never loses an acknowledged op, whatever the fsync policy.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
-		s.ln = nil
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return s.db.Sync()
 }
 
 // Client talks to a Server through the shared resilient transport:
@@ -384,13 +254,6 @@ func (c *Client) Insert(collection string, d Doc) (string, error) {
 func (c *Client) InsertContext(ctx context.Context, collection string, d Doc) (string, error) {
 	resp, err := c.roundTrip(ctx, request{Op: "insert", Collection: collection, Doc: d})
 	return resp.ID, err
-}
-
-// InsertBatch stores a batch of documents with a background context.
-//
-// Deprecated: use InsertBatchContext.
-func (c *Client) InsertBatch(collection string, docs []Doc) ([]string, error) {
-	return c.InsertBatchContext(context.Background(), collection, docs)
 }
 
 // InsertBatchContext stores a batch of documents in ONE round-trip and

@@ -138,14 +138,6 @@ func (r *Remote) ReportKBContext(ctx context.Context, k *kb.KB) (err error) {
 // comfortably under the server's MaxBatchPoints bound.
 const reportBatchSize = 256
 
-// WriteBatch ships a batch of points to the global time-series store
-// with a background context.
-//
-// Deprecated: use WriteBatchContext.
-func (r *Remote) WriteBatch(ps []tsdb.Point) error {
-	return r.WriteBatchContext(context.Background(), ps)
-}
-
 // WriteBatchContext ships a batch of points to the global time-series
 // store in one round-trip (tsdb WRITEB semantics: validated up front,
 // idempotent under retry). Remote thereby satisfies tsdb.BatchWriter,

@@ -4,16 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"pmove/internal/introspect"
-	"pmove/internal/introspect/logbuf"
+	"pmove/internal/lineserver"
 	"pmove/internal/resilience"
 )
 
@@ -26,6 +22,9 @@ const MaxBatchPoints = 4096
 // dedupWindowSize is how many applied batch tokens the server
 // remembers for retry dedup (see resilience.DedupWindow).
 const dedupWindowSize = 1024
+
+// maxLineBytes caps one request or WRITEB body line.
+const maxLineBytes = 8 << 20
 
 // Server exposes a DB over TCP with a line-oriented protocol:
 //
@@ -46,199 +45,63 @@ const dedupWindowSize = 1024
 // lines the client will send next. Like WRITE/QUERY, the header may
 // carry a leading traceparent= token.
 //
+// Connections, Close's drain, the over-long-line reply and the
+// SetTracing/SetLogger bundle come from the shared line-server base
+// (DESIGN.md "Wire-server base"); Close then syncs the DB.
+//
 // The host runs one of these for the target's telemetry shippers (Figure
 // 3: "the host runs ... InfluxDB").
 type Server struct {
+	*lineserver.Server
 	db    *DB
 	dedup *resilience.DedupWindow
-
-	mu    sync.Mutex
-	ln    net.Listener
-	done  chan struct{}
-	conns map[net.Conn]bool
-	wg    sync.WaitGroup
-	obs   func(cmd string, err error)
-	in    *introspect.Introspector
-	log   *logbuf.Logger
-	slow  time.Duration
 }
 
 // NewServer wraps a DB.
 func NewServer(db *DB) *Server {
-	return &Server{
-		db:    db,
-		dedup: resilience.NewDedupWindow(dedupWindowSize),
-		conns: map[net.Conn]bool{},
-	}
+	s := &Server{db: db, dedup: resilience.NewDedupWindow(dedupWindowSize)}
+	s.Server = lineserver.New("tsdb", maxLineBytes, s.serveLine, replyErr)
+	return s
 }
 
-// SetObserver installs a per-command hook called after every handled
-// request with the command name ("ping"/"write"/"query"/"unknown") and
-// its outcome. The daemon wires this to the self-observability registry;
-// a function type (rather than an introspect dependency) keeps the
-// import direction tsdb ← introspect, since the self-metrics exporter
-// writes tsdb points.
-func (s *Server) SetObserver(fn func(cmd string, err error)) {
-	s.mu.Lock()
-	s.obs = fn
-	s.mu.Unlock()
-}
-
-// SetTracing attaches an introspector whose tracer records server-side
-// spans (tsdb.server.write with parse/queue/insert children, ...). When
-// an incoming frame carries a traceparent tag, the server spans join the
-// caller's distributed trace; untagged frames open local root spans. A
-// nil introspector (the default) disables server tracing.
+// SetTracing attaches the server-side tracer (tsdb.server.write with
+// parse/queue/insert children, ...) and wires the served DB's
+// query-cache counters into the same self-observability plane
+// (pmove.self.query.cache.*). Nil disables both.
 func (s *Server) SetTracing(in *introspect.Introspector) {
-	s.mu.Lock()
-	s.in = in
-	s.mu.Unlock()
-	// The served DB's query-cache counters belong to the same
-	// self-observability plane (pmove.self.query.cache.*).
+	s.Server.SetTracing(in)
 	s.db.SetIntrospection(in)
 }
 
-func (s *Server) tracing() *introspect.Introspector {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.in
+// Close stops serving (every in-flight handler drains, so an accepted
+// WRITE has finished its WAL append) and then syncs the DB once, making
+// the whole acknowledged prefix durable under any fsync policy.
+func (s *Server) Close() error {
+	s.Server.Close()
+	return s.db.Sync()
 }
 
-// SetLogger attaches a structured log ring (conventionally a
-// "tsdb.server" component child). Ops slower than slowThreshold emit a
-// warn record carrying the op's wire traceparent, so a slow server-side
-// op joins the client span that carried it on the same 128-bit trace
-// id; a zero threshold logs every op, a negative one disables the
-// slow-op path (failed ops are still logged). A nil logger disables
-// everything.
-func (s *Server) SetLogger(lg *logbuf.Logger, slowThreshold time.Duration) {
-	s.mu.Lock()
-	s.log = lg
-	s.slow = slowThreshold
-	s.mu.Unlock()
-}
+func replyErr(w *bufio.Writer, msg string) { fmt.Fprintf(w, "ERR %s\n", msg) }
 
-func (s *Server) logger() (*logbuf.Logger, time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.log, s.slow
-}
-
-// logOp emits the per-op structured record: errors always, slow ops
-// when the threshold is met. sctx is the span-carrying context (the
-// record's trace identity); wireCtx is the frame context whose
-// traceparent field ties the record back to the bytes on the wire.
-func (s *Server) logOp(sctx, wireCtx context.Context, cmd string, arrivalNanos int64, err error) {
-	lg, slow := s.logger()
-	if lg == nil {
-		return
+func (s *Server) serveLine(c *lineserver.Conn, b []byte) bool {
+	cmd, rest, _ := strings.Cut(string(b), " ")
+	switch strings.ToUpper(cmd) {
+	case "PING":
+		c.W.WriteString("PONG\n")
+	case "WRITE":
+		s.handleWrite(c, rest)
+	case "WRITEB":
+		// On a fatal frame error the server cannot trust how many body
+		// lines follow, so it answers (if it can) and hangs up rather
+		// than desynchronise the stream. The resilient client re-verifies
+		// sync with PING on reconnect.
+		return s.handleWriteBatch(c, rest)
+	case "QUERY":
+		s.handleQuery(c, rest)
+	default:
+		fmt.Fprintf(c.W, "ERR unknown command %q\n", cmd)
 	}
-	elapsed := time.Duration(time.Now().UnixNano() - arrivalNanos)
-	if err != nil {
-		lg.Error(sctx, "op failed", "cmd", cmd, "duration", elapsed.String(), "error", err.Error())
-		return
-	}
-	if slow < 0 || elapsed < slow {
-		return
-	}
-	kv := []string{"cmd", cmd, "duration", elapsed.String()}
-	if tp := introspect.TraceparentFromContext(wireCtx); tp != "" {
-		kv = append(kv, "traceparent", tp)
-	}
-	lg.Warn(sctx, "slow op", kv...)
-}
-
-func (s *Server) observe(cmd string, err error) {
-	s.mu.Lock()
-	fn := s.obs
-	s.mu.Unlock()
-	if fn != nil {
-		fn(cmd, err)
-	}
-}
-
-// Listen starts serving on addr ("127.0.0.1:0" picks a free port) and
-// returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("tsdb: listen: %w", err)
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.done = make(chan struct{})
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		s.conns[conn] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handle(conn)
-	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
-	w := bufio.NewWriter(conn)
-	for sc.Scan() {
-		line := sc.Text()
-		arrival := time.Now().UnixNano()
-		cmd, rest, _ := strings.Cut(line, " ")
-		switch strings.ToUpper(cmd) {
-		case "PING":
-			fmt.Fprintln(w, "PONG")
-			s.observe("ping", nil)
-		case "WRITE":
-			s.handleWrite(rest, arrival, w)
-		case "WRITEB":
-			if !s.handleWriteBatch(rest, arrival, sc, w) {
-				// Fatal frame error: the server cannot trust how many
-				// body lines follow, so it answers (if it can) and hangs
-				// up rather than desynchronise the stream. The resilient
-				// client re-verifies sync with PING on reconnect.
-				w.Flush()
-				return
-			}
-		case "QUERY":
-			s.handleQuery(rest, arrival, w)
-		default:
-			fmt.Fprintf(w, "ERR unknown command %q\n", cmd)
-			s.observe("unknown", fmt.Errorf("unknown command %q", cmd))
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-	// A scanner error (most commonly a line over the buffer cap) used to
-	// kill the session silently; answer before hanging up so the client
-	// sees a protocol error instead of a bare EOF.
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			fmt.Fprintln(w, "ERR line too long")
-		} else {
-			fmt.Fprintf(w, "ERR %v\n", err)
-		}
-		w.Flush()
-	}
+	return true
 }
 
 // frameContext strips an optional leading "traceparent=<tp> " token off
@@ -258,11 +121,11 @@ func frameContext(rest string) (context.Context, string) {
 // handleWrite decodes and inserts one WRITE frame, tracing the
 // queue/parse/insert phases under a tsdb.server.write span backdated to
 // frame arrival so queue time (arrival → processing) is visible.
-func (s *Server) handleWrite(rest string, arrivalNanos int64, w *bufio.Writer) {
+func (s *Server) handleWrite(c *lineserver.Conn, rest string) {
 	ctx, body := frameContext(rest)
-	in := s.tracing()
-	wctx, op := in.StartSpanAt(ctx, "tsdb.server.write", arrivalNanos)
-	_, qs := in.StartSpanAt(wctx, "tsdb.server.queue", arrivalNanos)
+	in := c.Tracer()
+	wctx, op := in.StartSpanAt(ctx, "tsdb.server.write", c.Arrival)
+	_, qs := in.StartSpanAt(wctx, "tsdb.server.queue", c.Arrival)
 	qs.End(nil)
 	_, ps := in.StartSpan(wctx, "tsdb.server.parse")
 	p, err := DecodeLine(body)
@@ -274,12 +137,11 @@ func (s *Server) handleWrite(rest string, arrivalNanos int64, w *bufio.Writer) {
 	}
 	op.End(err)
 	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
+		replyErr(c.W, err.Error())
 	} else {
-		fmt.Fprintln(w, "OK")
+		c.W.WriteString("OK\n")
 	}
-	s.logOp(wctx, ctx, "write", arrivalNanos, err)
-	s.observe("write", err)
+	c.LogOp(wctx, ctx, "write", err)
 }
 
 // handleWriteBatch serves one WRITEB frame: header → n body lines →
@@ -288,11 +150,11 @@ func (s *Server) handleWrite(rest string, arrivalNanos int64, w *bufio.Writer) {
 // connection; true means the stream is in sync regardless of whether
 // the batch was accepted. The queue/parse/insert phases trace under a
 // tsdb.server.writeb span backdated to header arrival.
-func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Scanner, w *bufio.Writer) bool {
+func (s *Server) handleWriteBatch(c *lineserver.Conn, rest string) bool {
 	ctx, body := frameContext(rest)
-	in := s.tracing()
-	wctx, op := in.StartSpanAt(ctx, "tsdb.server.writeb", arrivalNanos)
-	_, qs := in.StartSpanAt(wctx, "tsdb.server.queue", arrivalNanos)
+	in := c.Tracer()
+	wctx, op := in.StartSpanAt(ctx, "tsdb.server.writeb", c.Arrival)
+	_, qs := in.StartSpanAt(wctx, "tsdb.server.queue", c.Arrival)
 	qs.End(nil)
 
 	nStr, opts, _ := strings.Cut(body, " ")
@@ -300,9 +162,8 @@ func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Sca
 	if err != nil || n <= 0 || n > MaxBatchPoints {
 		err = fmt.Errorf("tsdb: bad batch header %q (want 1..%d points)", body, MaxBatchPoints)
 		op.End(err)
-		fmt.Fprintf(w, "ERR %v\n", err)
-		s.logOp(wctx, ctx, "writeb", arrivalNanos, err)
-		s.observe("writeb", err)
+		replyErr(c.W, err.Error())
+		c.LogOp(wctx, ctx, "writeb", err)
 		return false
 	}
 	var token string
@@ -314,14 +175,14 @@ func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Sca
 	// a rejection leaves the stream in sync.
 	lines := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		if !sc.Scan() {
+		line, ok := c.Next()
+		if !ok {
 			err = fmt.Errorf("tsdb: connection lost %d/%d lines into batch body", i, n)
 			op.End(err)
-			s.logOp(wctx, ctx, "writeb", arrivalNanos, err)
-			s.observe("writeb", err)
+			c.LogOp(wctx, ctx, "writeb", err)
 			return false
 		}
-		lines = append(lines, sc.Text())
+		lines = append(lines, string(line))
 	}
 
 	_, ps := in.StartSpan(wctx, "tsdb.server.parse")
@@ -339,8 +200,7 @@ func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Sca
 	if err == nil && token != "" && s.dedup.Seen(token) {
 		// Retry of an applied batch: acknowledge without re-inserting.
 		op.End(nil)
-		fmt.Fprintf(w, "OK %d\n", n)
-		s.observe("writeb", nil)
+		fmt.Fprintf(c.W, "OK %d\n", n)
 		return true
 	}
 	if err == nil {
@@ -355,21 +215,20 @@ func (s *Server) handleWriteBatch(rest string, arrivalNanos int64, sc *bufio.Sca
 	}
 	op.End(err)
 	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
+		replyErr(c.W, err.Error())
 	} else {
-		fmt.Fprintf(w, "OK %d\n", n)
+		fmt.Fprintf(c.W, "OK %d\n", n)
 	}
-	s.logOp(wctx, ctx, "writeb", arrivalNanos, err)
-	s.observe("writeb", err)
+	c.LogOp(wctx, ctx, "writeb", err)
 	return true
 }
 
 // handleQuery parses and executes one QUERY frame with parse/exec child
 // spans under tsdb.server.query.
-func (s *Server) handleQuery(rest string, arrivalNanos int64, w *bufio.Writer) {
+func (s *Server) handleQuery(c *lineserver.Conn, rest string) {
 	ctx, body := frameContext(rest)
-	in := s.tracing()
-	qctx, op := in.StartSpanAt(ctx, "tsdb.server.query", arrivalNanos)
+	in := c.Tracer()
+	qctx, op := in.StartSpanAt(ctx, "tsdb.server.query", c.Arrival)
 	_, ps := in.StartSpan(qctx, "tsdb.server.parse")
 	q, err := ParseQuery(body)
 	ps.End(err)
@@ -383,40 +242,18 @@ func (s *Server) handleQuery(rest string, arrivalNanos int64, w *bufio.Writer) {
 	}
 	op.End(err)
 	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
+		replyErr(c.W, err.Error())
 	} else {
 		b, merr := json.Marshal(res)
 		if merr != nil {
-			fmt.Fprintf(w, "ERR %v\n", merr)
+			replyErr(c.W, merr.Error())
 			err = merr
 		} else {
-			w.Write(b)
-			w.WriteByte('\n')
+			c.W.Write(b)
+			c.W.WriteByte('\n')
 		}
 	}
-	s.logOp(qctx, ctx, "query", arrivalNanos, err)
-	s.observe("query", err)
-}
-
-// Close stops the server: the listener and idle connections are torn
-// down, every in-flight handler drains (an accepted WRITE finishes its
-// insert before the DB is considered final), and the DB's WAL is
-// flushed — so a graceful shutdown never loses an acknowledged point
-// even under fsync=interval/never.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
-		s.ln = nil
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	// Flush-on-close barrier: every handleWrite above has completed its
-	// WAL append; one sync makes the whole accepted prefix durable.
-	return s.db.Sync()
+	c.LogOp(qctx, ctx, "query", err)
 }
 
 // Client talks to a Server through a resilient transport: per-op
@@ -517,13 +354,6 @@ func (c *Client) WritePoint(p Point) error { return c.Write(p) }
 // retry budget on the in-flight point.
 func (c *Client) WritePointContext(ctx context.Context, p Point) error {
 	return c.WriteContext(ctx, p)
-}
-
-// WriteBatch ships a batch with a background context.
-//
-// Deprecated: use WriteBatchContext.
-func (c *Client) WriteBatch(ps []Point) error {
-	return c.WriteBatchContext(context.Background(), ps)
 }
 
 // WriteBatchContext ships a whole batch in ONE round-trip (a WRITEB

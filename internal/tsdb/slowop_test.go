@@ -10,112 +10,10 @@ import (
 	"pmove/internal/introspect/logbuf"
 )
 
-// TestSlowOpLogCarriesClientTraceID asserts the observability plane's
-// core join end to end over a real socket: the server-side slow-op log
-// record and the client-side span for the same op carry the same
-// 128-bit TraceID, and the record's traceparent field is the literal
-// wire tag the client stamped on the frame.
-func TestSlowOpLogCarriesClientTraceID(t *testing.T) {
-	srv := NewServer(New())
-	srvIn := introspect.New(introspect.WithProcess("tsdb"))
-	srv.SetTracing(srvIn)
-	logs := logbuf.New(64)
-	// Threshold zero: every op is "slow", so the test never depends on
-	// real latency.
-	srv.SetLogger(logs.With("tsdb.server"), 0)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	clientIn := introspect.New(introspect.WithProcess("client"))
-	c.Transport().SetIntrospection(clientIn, "tsdb")
-
-	ctx, span := clientIn.StartSpan(context.Background(), "client.monitor.tick")
-	clientSC, ok := introspect.SpanContextFromContext(ctx)
-	if !ok || !clientSC.Valid() {
-		t.Fatal("client span context missing")
-	}
-	if clientSC.Trace.Hi == 0 && clientSC.Trace.Lo == 0 {
-		t.Fatal("client trace id is zero")
-	}
-	pts := []Point{
-		{Measurement: "m", Tags: map[string]string{"host": "a"},
-			Fields: map[string]float64{"v": 1}, Time: 1},
-		{Measurement: "m", Tags: map[string]string{"host": "a"},
-			Fields: map[string]float64{"v": 2}, Time: 2},
-	}
-	if err := c.WriteBatchContext(ctx, pts); err != nil {
-		t.Fatal(err)
-	}
-	span.End(nil)
-
-	recs := logs.Filter(logbuf.Query{Trace: clientSC.Trace})
-	if len(recs) != 1 {
-		t.Fatalf("got %d records for the client trace, want 1: %+v", len(recs), logs.Records())
-	}
-	rec := recs[0]
-	if rec.Msg != "slow op" || rec.Level != logbuf.Warn {
-		t.Fatalf("record = %+v, want slow-op warn", rec)
-	}
-	if rec.Component != "tsdb.server" {
-		t.Fatalf("component = %q", rec.Component)
-	}
-	if rec.Trace != clientSC.Trace {
-		t.Fatalf("record trace %s != client trace %s", rec.Trace, clientSC.Trace)
-	}
-	// The client span recorded on the client side is in the same trace.
-	found := false
-	for _, s := range clientIn.Tracer().Spans() {
-		if s.Name == "client.monitor.tick" {
-			found = true
-			if s.Trace != clientSC.Trace {
-				t.Fatalf("client span trace %s != %s", s.Trace, clientSC.Trace)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("client-side span not recorded")
-	}
-	// The traceparent field is the wire tag: it parses, names the same
-	// trace, and its parent span is one of the client's spans (the
-	// transport attempt that carried the frame).
-	var tp string
-	for _, f := range rec.Fields {
-		if f.Key == "traceparent" {
-			tp = f.Value
-		}
-	}
-	if tp == "" {
-		t.Fatalf("record lacks traceparent field: %+v", rec.Fields)
-	}
-	wireSC, ok := introspect.ParseTraceparent(tp)
-	if !ok || wireSC.Trace != clientSC.Trace {
-		t.Fatalf("traceparent %q does not join the client trace %s", tp, clientSC.Trace)
-	}
-	if cmd := fieldValue(rec, "cmd"); cmd != "writeb" {
-		t.Fatalf("cmd field = %q", cmd)
-	}
-}
-
-func fieldValue(rec logbuf.Record, key string) string {
-	for _, f := range rec.Fields {
-		if f.Key == key {
-			return f.Value
-		}
-	}
-	return ""
-}
-
 // TestSlowOpConcurrentWriters drives many traced client ops against one
 // server while a reader drains the ring — the race-detector companion
-// to the correlation test, and a check that concurrent ops never
+// to the correlation test (TestServerOpLog in internal/lineserver), and
+// a check that concurrent ops never
 // cross-contaminate trace identities.
 func TestSlowOpConcurrentWriters(t *testing.T) {
 	srv := NewServer(New())

@@ -403,13 +403,6 @@ func (e *BatchError) Error() string {
 
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// WriteBatch inserts a batch of points with a background context.
-//
-// Deprecated: use WriteBatchContext.
-func (db *DB) WriteBatch(ps []Point) error {
-	return db.WriteBatchContext(context.Background(), ps)
-}
-
 // WriteBatchContext inserts a batch atomically: every point is
 // validated up front (a rejection returns a *BatchError with Applied ==
 // 0 and no state change), a durable DB commits the whole batch as ONE
