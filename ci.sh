@@ -226,10 +226,11 @@ fi
 # Same rule for the wire clients: every exported method on the tsdb /
 # docdb clients and the superdb remote that crosses the wire must have a
 # context-first form. The context-free names below are grandfathered
-# deprecated wrappers (one-line delegates to the Context twin); pure
-# accessors and the shutdown path are exempt. A NEW context-free wire
-# method fails here — add the ...Context form and wrap it instead.
-client_wrappers='Write|WritePoint|Query|Ping|Insert|Upsert|Find|Get|Count|ReportJob|ReportKB|ReportObservation|Hosts|QueryObservation'
+# deprecated wrappers on the tsdb/docdb clients (one-line delegates to
+# the Context twin); the superdb remote has none left. Pure accessors
+# and the shutdown path are exempt. A NEW context-free wire method
+# fails here — add the ...Context form instead.
+client_wrappers='Write|WritePoint|Query|Ping|Insert|Upsert|Find|Get|Count'
 client_accessors='Stats|Transport|Close|SetIntrospection|SetLogger'
 client_violations=$(grep -h 'func (c \*Client) [A-Z]\|func (r \*Remote) [A-Z]' \
     internal/tsdb/*.go internal/docdb/*.go internal/superdb/*.go \
@@ -253,6 +254,18 @@ db_violations=$(grep -hE 'func \(db \*DB\) (Execute|Query|Write)[A-Za-z]*\(' int
 if [ -n "$db_violations" ]; then
     echo "context-first API gate: exported tsdb.DB query/write methods must take 'ctx context.Context' first:" >&2
     echo "$db_violations" >&2
+    exit 1
+fi
+
+# Estimator gate: superdb summaries come from the tsdb aggregate engine
+# (one percentile estimator repo-wide). Non-test superdb code that sorts
+# raw values or defines its own quantile is the client-side fold
+# growing back.
+fold_violations=$(find internal/superdb -name '*.go' ! -name '*_test.go' \
+    -exec grep -nE 'sort\.Float64s\(|func quantile' {} + || true)
+if [ -n "$fold_violations" ]; then
+    echo "estimator gate: superdb must summarise through the tsdb engine, not a client-side fold:" >&2
+    echo "$fold_violations" >&2
     exit 1
 fi
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -13,8 +14,9 @@ import (
 // global store": one KB summary per node plus one metadata document per
 // finished job. It returns how many of each were shipped. Uploads ride
 // the remote's resilient clients, so transient faults retry and a dead
-// store fails with a bounded error instead of hanging.
-func (c *Cluster) Report(r *superdb.Remote) (nodes, jobs int, err error) {
+// store fails with a bounded error instead of hanging; cancelling ctx
+// aborts between (and inside) uploads.
+func (c *Cluster) Report(ctx context.Context, r *superdb.Remote) (nodes, jobs int, err error) {
 	ckb, err := c.BuildKB()
 	if err != nil {
 		return 0, 0, err
@@ -25,7 +27,7 @@ func (c *Cluster) Report(r *superdb.Remote) (nodes, jobs int, err error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if err := r.ReportKB(ckb.Nodes[name]); err != nil {
+		if err := r.ReportKBContext(ctx, ckb.Nodes[name]); err != nil {
 			return nodes, jobs, fmt.Errorf("cluster: report kb %s: %w", name, err)
 		}
 		nodes++
@@ -51,7 +53,7 @@ func (c *Cluster) Report(r *superdb.Remote) (nodes, jobs int, err error) {
 		if err != nil {
 			return nodes, jobs, fmt.Errorf("cluster: encode job %s: %w", rec.ID, err)
 		}
-		if err := r.ReportJob(doc); err != nil {
+		if err := r.ReportJobContext(ctx, doc); err != nil {
 			return nodes, jobs, fmt.Errorf("cluster: report job %s: %w", rec.ID, err)
 		}
 		jobs++

@@ -3,13 +3,11 @@ package superdb
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"pmove/internal/docdb"
 	"pmove/internal/introspect"
 	"pmove/internal/introspect/logbuf"
 	"pmove/internal/kb"
-	"pmove/internal/ontology"
 	"pmove/internal/resilience"
 	"pmove/internal/tsdb"
 )
@@ -67,11 +65,6 @@ func (r *Remote) SetLogger(l *logbuf.Logger) {
 	r.TS.Transport().SetLogger(l.With("transport.superdb_ts"))
 }
 
-// Ping verifies both stores answer end to end with a background context.
-func (r *Remote) Ping() error {
-	return r.PingContext(context.Background())
-}
-
 // PingContext verifies both stores answer end to end.
 func (r *Remote) PingContext(ctx context.Context) error {
 	if err := r.Docs.PingContext(ctx); err != nil {
@@ -83,19 +76,13 @@ func (r *Remote) PingContext(ctx context.Context) error {
 	return nil
 }
 
-// ReportJob uploads one completed job's metadata document (built with
-// docdb.FromValue; must carry an "_id") into the jobs collection — the
-// cluster KB's "historical job metadata" reaching the global store.
-func (r *Remote) ReportJob(doc docdb.Doc) error {
-	return r.ReportJobContext(context.Background(), doc)
-}
-
-// ReportJobContext uploads one job metadata document.
+// ReportJobContext uploads one completed job's metadata document (built
+// with docdb.FromValue; must carry an "_id") into the jobs collection —
+// the cluster KB's "historical job metadata" reaching the global store.
 func (r *Remote) ReportJobContext(ctx context.Context, doc docdb.Doc) (err error) {
 	ctx, span := r.in.StartSpan(ctx, "superdb.report_job")
 	defer func() { span.End(err) }()
-	_, err = r.Docs.UpsertContext(ctx, CollJobs, doc)
-	return err
+	return r.upsert(ctx, CollJobs, doc)
 }
 
 // Close releases both connections.
@@ -108,9 +95,11 @@ func (r *Remote) Close() error {
 	return err2
 }
 
-// ReportKB uploads a system's KB summary with a background context.
-func (r *Remote) ReportKB(k *kb.KB) error {
-	return r.ReportKBContext(context.Background(), k)
+// upsert replaces one document in a remote collection; with
+// WriteBatchContext it makes Remote the reporter's wire store.
+func (r *Remote) upsert(ctx context.Context, coll string, doc docdb.Doc) error {
+	_, err := r.Docs.UpsertContext(ctx, coll, doc)
+	return err
 }
 
 // ReportKBContext uploads a system's KB summary, replacing any prior
@@ -118,25 +107,8 @@ func (r *Remote) ReportKB(k *kb.KB) error {
 func (r *Remote) ReportKBContext(ctx context.Context, k *kb.KB) (err error) {
 	ctx, span := r.in.StartSpan(ctx, "superdb.report_kb")
 	defer func() { span.End(err) }()
-	doc, err := docdb.FromValue(map[string]any{
-		"_id":       "kb:" + k.Host,
-		"host":      k.Host,
-		"nodes":     k.Len(),
-		"microarch": k.Probe.System.CPU.Microarch,
-		"vendor":    string(k.Probe.System.CPU.Vendor),
-		"threads":   k.Probe.System.NumThreads(),
-	})
-	if err != nil {
-		return err
-	}
-	_, err = r.Docs.UpsertContext(ctx, CollKBs, doc)
-	return err
+	return reportKB(ctx, r, k)
 }
-
-// reportBatchSize chunks observation uploads: large observations ship
-// as a few full frames instead of |rows| round-trips, while staying
-// comfortably under the server's MaxBatchPoints bound.
-const reportBatchSize = 256
 
 // WriteBatchContext ships a batch of points to the global time-series
 // store in one round-trip (tsdb WRITEB semantics: validated up front,
@@ -148,115 +120,13 @@ func (r *Remote) WriteBatchContext(ctx context.Context, ps []tsdb.Point) (err er
 	return r.TS.WriteBatchContext(ctx, ps)
 }
 
-// ReportObservation uploads one observation with a background context.
-func (r *Remote) ReportObservation(o *kb.Observation, local *tsdb.DB, mode ReportMode) error {
-	return r.ReportObservationContext(context.Background(), o, local, mode)
-}
-
 // ReportObservationContext uploads one observation over the wire, with
 // the same TS/AGG split as the embedded SuperDB. Cancelling ctx aborts
-// between (and inside) point uploads.
+// between (and inside) batch uploads.
 func (r *Remote) ReportObservationContext(ctx context.Context, o *kb.Observation, local *tsdb.DB, mode ReportMode) (err error) {
 	ctx, span := r.in.StartSpan(ctx, "superdb.report_observation")
 	defer func() { span.End(err) }()
-	kind := ontology.EntryTSObservation
-	if mode == ModeAGG {
-		kind = ontology.EntryAGGObservation
-	}
-	var aggs []Aggregates
-	rawPoints := 0
-	// ModeTS rows accumulate here and ship as chunked batch frames (one
-	// round-trip per reportBatchSize rows) instead of one WRITE per row.
-	var pending []tsdb.Point
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		if err := r.TS.WriteBatchContext(ctx, pending); err != nil {
-			return err
-		}
-		rawPoints += len(pending)
-		pending = pending[:0]
-		return nil
-	}
-	for _, m := range o.Metrics {
-		if mode == ModeAGG && !hasStar(m.Fields) {
-			sq := summaryQuery(m.Measurement, map[string]string{"tag": o.Tag}, m.Fields)
-			res, err := local.ExecuteContext(ctx, tsdb.QueryRequest{Query: sq})
-			if err != nil {
-				return fmt.Errorf("superdb: aggregate %s: %w", m.Measurement, err)
-			}
-			aggs = append(aggs, summaryFromResult(m.Measurement, m.Fields, res)...)
-			continue
-		}
-		res, err := local.ExecuteContext(ctx, tsdb.QueryRequest{Query: &tsdb.Query{
-			Fields:      m.Fields,
-			Measurement: m.Measurement,
-			TagFilter:   map[string]string{"tag": o.Tag},
-		}})
-		if err != nil {
-			return fmt.Errorf("superdb: fetch %s: %w", m.Measurement, err)
-		}
-		switch mode {
-		case ModeTS:
-			for _, row := range res.Rows {
-				if len(row.Values) == 0 {
-					continue
-				}
-				pending = append(pending, tsdb.Point{
-					Measurement: m.Measurement,
-					Tags:        map[string]string{"tag": o.Tag, "host": o.Host},
-					Fields:      row.Values,
-					Time:        row.Time,
-				})
-				if len(pending) >= reportBatchSize {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
-			}
-		case ModeAGG:
-			byField := map[string][]float64{}
-			for _, row := range res.Rows {
-				for f, v := range row.Values {
-					byField[f] = append(byField[f], v)
-				}
-			}
-			var fields []string
-			for f := range byField {
-				fields = append(fields, f)
-			}
-			sort.Strings(fields)
-			for _, f := range fields {
-				aggs = append(aggs, aggregate(m.Measurement, f, byField[f]))
-			}
-		default:
-			return fmt.Errorf("superdb: unknown report mode %q", mode)
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	doc, err := docdb.FromValue(map[string]any{
-		"_id":     fmt.Sprintf("obs:%s:%s", o.Host, o.Tag),
-		"kind":    string(kind),
-		"host":    o.Host,
-		"tag":     o.Tag,
-		"command": o.Command,
-		"metrics": o.Metrics,
-		"aggs":    aggs,
-		"points":  rawPoints,
-	})
-	if err != nil {
-		return err
-	}
-	_, err = r.Docs.UpsertContext(ctx, CollObservations, doc)
-	return err
-}
-
-// Hosts lists systems with uploaded KBs with a background context.
-func (r *Remote) Hosts() ([]string, error) {
-	return r.HostsContext(context.Background())
+	return reportObservation(ctx, r, o, local, mode)
 }
 
 // HostsContext lists systems with uploaded KBs on the remote instance.
@@ -265,20 +135,7 @@ func (r *Remote) HostsContext(ctx context.Context) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []string
-	for _, d := range docs {
-		if h, ok := d["host"].(string); ok {
-			out = append(out, h)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// QueryObservation recalls one uploaded observation's series with a
-// background context.
-func (r *Remote) QueryObservation(host, tag, measurement string, fields []string) (*tsdb.Result, error) {
-	return r.QueryObservationContext(context.Background(), host, tag, measurement, fields)
+	return hostsOf(docs), nil
 }
 
 // QueryObservationContext recalls one uploaded observation's series for a

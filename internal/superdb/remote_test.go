@@ -9,12 +9,10 @@ import (
 	"pmove/internal/tsdb"
 )
 
-// startServers brings up in-process docdb/tsdb TCP servers (what
-// cmd/superdb runs) and returns their addresses.
-func startServers(t *testing.T) (docAddr, tsAddr string) {
+// serve runs in-process docdb/tsdb TCP servers (what cmd/superdb runs)
+// on the given stores and returns their addresses.
+func serve(t *testing.T, docs *docdb.DB, ts *tsdb.DB) (docAddr, tsAddr string) {
 	t.Helper()
-	docs := docdb.New()
-	ts := tsdb.New()
 	dsrv := docdb.NewServer(docs)
 	da, err := dsrv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -30,6 +28,12 @@ func startServers(t *testing.T) (docAddr, tsAddr string) {
 	return da, ta
 }
 
+// startServers serves fresh empty stores.
+func startServers(t *testing.T) (docAddr, tsAddr string) {
+	t.Helper()
+	return serve(t, docdb.New(), tsdb.New())
+}
+
 func TestRemoteEndToEnd(t *testing.T) {
 	docAddr, tsAddr := startServers(t)
 	r, err := DialRemote(docAddr, tsAddr)
@@ -38,15 +42,16 @@ func TestRemoteEndToEnd(t *testing.T) {
 	}
 	defer r.Close()
 
+	ctx := context.Background()
 	k := testKB(t, "skx")
-	if err := r.ReportKB(k); err != nil {
+	if err := r.ReportKBContext(ctx, k); err != nil {
 		t.Fatal(err)
 	}
 	// Re-reporting upserts.
-	if err := r.ReportKB(k); err != nil {
+	if err := r.ReportKBContext(ctx, k); err != nil {
 		t.Fatal(err)
 	}
-	hosts, err := r.Hosts()
+	hosts, err := r.HostsContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,41 +59,21 @@ func TestRemoteEndToEnd(t *testing.T) {
 		t.Fatalf("hosts: %v", hosts)
 	}
 
-	// Ship a TS observation over the wire, then recall it remotely.
+	// Ship a TS observation over the wire, then recall it remotely, by
+	// field name and with the select-all default.
 	local := tsdb.New()
 	obs := seedObservation(t, local, "skx", "remote-tag")
-	if err := r.ReportObservation(obs, local, ModeTS); err != nil {
+	if err := r.ReportObservationContext(ctx, obs, local, ModeTS); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.QueryObservation("skx", "remote-tag", "perfevent_hwcounters_X", []string{"_cpu0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 10 {
-		t.Fatalf("recalled rows: %d", len(res.Rows))
-	}
-
-	// AGG mode uploads only the summary document.
-	obs2 := seedObservation(t, local, "skx", "remote-agg")
-	if err := r.ReportObservation(obs2, local, ModeAGG); err != nil {
-		t.Fatal(err)
-	}
-	res, err = r.QueryObservation("skx", "remote-agg", "perfevent_hwcounters_X", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 0 {
-		t.Error("AGG upload shipped raw rows")
-	}
-	docs, err := r.Docs.Find(CollObservations, &docdb.Filter{Eq: map[string]any{"tag": "remote-agg"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 1 {
-		t.Fatalf("agg docs: %d", len(docs))
-	}
-	if aggs, ok := docs[0]["aggs"].([]any); !ok || len(aggs) != 2 {
-		t.Errorf("agg payload: %v", docs[0]["aggs"])
+	for _, fields := range [][]string{{"_cpu0"}, nil} {
+		res, err := r.QueryObservationContext(ctx, "skx", "remote-tag", "perfevent_hwcounters_X", fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 10 {
+			t.Fatalf("recalled rows for %v: %d", fields, len(res.Rows))
+		}
 	}
 }
 
@@ -116,10 +101,10 @@ func TestAggregateObservationRemote(t *testing.T) {
 
 	local := tsdb.New()
 	obs := seedObservation(t, local, "skx", "remote-sum")
-	if err := r.ReportObservation(obs, local, ModeTS); err != nil {
+	ctx := context.Background()
+	if err := r.ReportObservationContext(ctx, obs, local, ModeTS); err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	aggs, err := r.AggregateObservationContext(ctx, "skx", "remote-sum",
 		"perfevent_hwcounters_X", []string{"_cpu0", "_cpu1"})
 	if err != nil {

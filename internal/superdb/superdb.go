@@ -10,7 +10,6 @@ package superdb
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"pmove/internal/docdb"
@@ -51,26 +50,6 @@ type Aggregates struct {
 	P99         float64 `json:"p99"`
 }
 
-// aggregate computes summary statistics of a value series.
-func aggregate(measurement, field string, vs []float64) Aggregates {
-	a := Aggregates{Measurement: measurement, Field: field, Count: len(vs)}
-	if len(vs) == 0 {
-		return a
-	}
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	a.Min = sorted[0]
-	a.Max = sorted[len(sorted)-1]
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
-	}
-	a.Mean = sum / float64(len(sorted))
-	a.P50 = quantile(sorted, 0.50)
-	a.P99 = quantile(sorted, 0.99)
-	return a
-}
-
 // hasStar reports whether a field list selects all fields — the one
 // shape the aggregate engine cannot plan, since it needs field names.
 func hasStar(fields []string) bool {
@@ -82,8 +61,8 @@ func hasStar(fields []string) bool {
 	return false
 }
 
-// dedupeSorted returns the distinct field names, sorted — the order the
-// legacy client-side fold reported aggregates in.
+// dedupeSorted returns the distinct field names, sorted — the order
+// reported aggregates are listed in.
 func dedupeSorted(fields []string) []string {
 	seen := map[string]struct{}{}
 	out := make([]string, 0, len(fields))
@@ -99,8 +78,8 @@ func dedupeSorted(fields []string) []string {
 }
 
 // summaryQuery builds the one-shot aggregate query computing every
-// Aggregates column (count/min/max/mean/p50/p99 per field) — what the
-// legacy path fetched row by row and folded client-side.
+// Aggregates column (count/min/max/mean/p50/p99 per field) on the
+// engine, so no raw row crosses to the reporter.
 func summaryQuery(measurement string, tags map[string]string, fields []string) *tsdb.Query {
 	var aggs []tsdb.Aggregate
 	for _, f := range dedupeSorted(fields) {
@@ -117,8 +96,7 @@ func summaryQuery(measurement string, tags map[string]string, fields []string) *
 }
 
 // summaryFromResult maps the aggregate query's single row back into
-// Aggregates values, skipping fields with no samples (the legacy fold
-// never emitted a row for an absent field).
+// Aggregates values, skipping fields with no samples.
 func summaryFromResult(measurement string, fields []string, res *tsdb.Result) []Aggregates {
 	if res == nil || len(res.Rows) == 0 {
 		return nil
@@ -147,24 +125,29 @@ func summaryFromResult(measurement string, fields []string, res *tsdb.Result) []
 	return out
 }
 
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+// store is the write surface the reporter needs from a global
+// instance: a document upsert and a batched time-series write. The
+// embedded SuperDB provides it through localStore and the wire Remote
+// directly, so both report through one code path.
+type store interface {
+	upsert(ctx context.Context, coll string, doc docdb.Doc) error
+	tsdb.BatchWriter
 }
 
-// ReportKB uploads a system's knowledge base to the global store ("The
-// users have the option to report their performance telemetry readings and
-// the system's KB to SUPERDB").
-func (s *SuperDB) ReportKB(k *kb.KB) error {
+// localStore adapts the embedded databases to store.
+type localStore struct {
+	docs *docdb.DB
+	*tsdb.DB
+}
+
+func (l localStore) upsert(_ context.Context, coll string, doc docdb.Doc) error {
+	_, err := l.docs.Collection(coll).Upsert(doc)
+	return err
+}
+
+// reportKB uploads a system's KB summary, replacing any prior upload
+// for the same host.
+func reportKB(ctx context.Context, st store, k *kb.KB) error {
 	doc, err := docdb.FromValue(map[string]any{
 		"_id":       "kb:" + k.Host,
 		"host":      k.Host,
@@ -176,11 +159,17 @@ func (s *SuperDB) ReportKB(k *kb.KB) error {
 	if err != nil {
 		return err
 	}
-	coll := s.Docs.Collection(CollKBs)
-	if _, err := coll.Upsert(doc); err != nil {
+	if err := st.upsert(ctx, CollKBs, doc); err != nil {
 		return fmt.Errorf("superdb: report KB for %s: %w", k.Host, err)
 	}
 	return nil
+}
+
+// ReportKB uploads a system's knowledge base to the global store ("The
+// users have the option to report their performance telemetry readings and
+// the system's KB to SUPERDB").
+func (s *SuperDB) ReportKB(k *kb.KB) error {
+	return reportKB(context.Background(), localStore{s.Docs, s.TS}, k)
 }
 
 // ReportMode selects how an observation's telemetry is uploaded.
@@ -192,72 +181,89 @@ const (
 	ModeAGG ReportMode = "agg" // statistical summary only
 )
 
-// ReportObservation uploads one observation: its metadata document plus
-// either the raw series (ModeTS) or aggregates (ModeAGG) pulled from the
-// local time-series database.
-func (s *SuperDB) ReportObservation(o *kb.Observation, local *tsdb.DB, mode ReportMode) error {
-	kind := ontology.EntryTSObservation
-	if mode == ModeAGG {
+// reportBatchSize chunks observation uploads: large observations ship
+// as a few full batches instead of |rows| writes, while staying
+// comfortably under the server's MaxBatchPoints bound.
+const reportBatchSize = 256
+
+// reportObservation uploads one observation: its metadata document plus
+// either the raw series (ModeTS, shipped in reportBatchSize batches) or
+// the engine's summary of it (ModeAGG), pulled from the local
+// time-series database. An unknown mode is rejected before any work.
+func reportObservation(ctx context.Context, st store, o *kb.Observation, local *tsdb.DB, mode ReportMode) error {
+	var kind ontology.EntryKind
+	switch mode {
+	case ModeTS:
+		kind = ontology.EntryTSObservation
+	case ModeAGG:
 		kind = ontology.EntryAGGObservation
+	default:
+		return fmt.Errorf("superdb: unknown report mode %q", mode)
 	}
+	tags := map[string]string{"tag": o.Tag}
 	var aggs []Aggregates
 	rawPoints := 0
+	var pending []tsdb.Point
+	flush := func() error {
+		if len(pending) == 0 {
+			return nil
+		}
+		if err := st.WriteBatchContext(ctx, pending); err != nil {
+			return err
+		}
+		rawPoints += len(pending)
+		pending = pending[:0]
+		return nil
+	}
+	ptags := map[string]string{"tag": o.Tag, "host": o.Host}
 	for _, m := range o.Metrics {
-		if mode == ModeAGG && !hasStar(m.Fields) {
+		fields := m.Fields
+		var res *tsdb.Result
+		if mode == ModeTS || (len(fields) == 1 && fields[0] == "*") {
+			// ModeTS ships these rows. A select-all ModeAGG metric only
+			// reads their column names: the aggregate grammar needs
+			// named fields.
+			var err error
+			res, err = local.ExecuteContext(ctx, tsdb.QueryRequest{Query: &tsdb.Query{
+				Fields:      fields,
+				Measurement: m.Measurement,
+				TagFilter:   tags,
+			}})
+			if err != nil {
+				return fmt.Errorf("superdb: fetch %s: %w", m.Measurement, err)
+			}
+			fields = res.Columns
+		}
+		if mode == ModeAGG {
 			// One aggregate query computes the whole summary on the
 			// engine instead of materializing raw rows to fold here.
-			sq := summaryQuery(m.Measurement, map[string]string{"tag": o.Tag}, m.Fields)
-			res, err := local.ExecuteContext(context.Background(), tsdb.QueryRequest{Query: sq})
+			sq := summaryQuery(m.Measurement, tags, fields)
+			res, err := local.ExecuteContext(ctx, tsdb.QueryRequest{Query: sq})
 			if err != nil {
 				return fmt.Errorf("superdb: aggregate %s: %w", m.Measurement, err)
 			}
-			aggs = append(aggs, summaryFromResult(m.Measurement, m.Fields, res)...)
+			aggs = append(aggs, summaryFromResult(m.Measurement, fields, res)...)
 			continue
 		}
-		q := &tsdb.Query{
-			Fields:      m.Fields,
-			Measurement: m.Measurement,
-			TagFilter:   map[string]string{"tag": o.Tag},
-		}
-		res, err := local.Execute(q)
-		if err != nil {
-			return fmt.Errorf("superdb: fetch %s: %w", m.Measurement, err)
-		}
-		switch mode {
-		case ModeTS:
-			for _, row := range res.Rows {
-				p := tsdb.Point{
-					Measurement: m.Measurement,
-					Tags:        map[string]string{"tag": o.Tag, "host": o.Host},
-					Fields:      row.Values,
-					Time:        row.Time,
-				}
-				if len(p.Fields) == 0 {
-					continue
-				}
-				if err := s.TS.WritePoint(p); err != nil {
+		for _, row := range res.Rows {
+			if len(row.Values) == 0 {
+				continue
+			}
+			pending = append(pending, tsdb.Point{
+				Measurement: m.Measurement,
+				Tags:        ptags,
+				Fields:      row.Values,
+				Time:        row.Time,
+			})
+			if len(pending) >= reportBatchSize {
+				if err := flush(); err != nil {
 					return err
 				}
-				rawPoints++
 			}
-		case ModeAGG:
-			byField := map[string][]float64{}
-			for _, row := range res.Rows {
-				for f, v := range row.Values {
-					byField[f] = append(byField[f], v)
-				}
-			}
-			var fields []string
-			for f := range byField {
-				fields = append(fields, f)
-			}
-			sort.Strings(fields)
-			for _, f := range fields {
-				aggs = append(aggs, aggregate(m.Measurement, f, byField[f]))
-			}
-		default:
-			return fmt.Errorf("superdb: unknown report mode %q", mode)
 		}
+	}
+	if err := flush(); err != nil {
+		return err
 	}
 	doc, err := docdb.FromValue(map[string]any{
 		"_id":     fmt.Sprintf("obs:%s:%s", o.Host, o.Tag),
@@ -272,22 +278,34 @@ func (s *SuperDB) ReportObservation(o *kb.Observation, local *tsdb.DB, mode Repo
 	if err != nil {
 		return err
 	}
-	if _, err := s.Docs.Collection(CollObservations).Upsert(doc); err != nil {
+	if err := st.upsert(ctx, CollObservations, doc); err != nil {
 		return fmt.Errorf("superdb: report observation %s: %w", o.Tag, err)
 	}
 	return nil
 }
 
-// Hosts lists systems with uploaded KBs, sorted.
-func (s *SuperDB) Hosts() []string {
+// ReportObservation uploads one observation: its metadata document plus
+// either the raw series (ModeTS) or aggregates (ModeAGG) pulled from the
+// local time-series database.
+func (s *SuperDB) ReportObservation(o *kb.Observation, local *tsdb.DB, mode ReportMode) error {
+	return reportObservation(context.Background(), localStore{s.Docs, s.TS}, o, local, mode)
+}
+
+// hostsOf lists the hosts named by uploaded KB documents, sorted.
+func hostsOf(docs []docdb.Doc) []string {
 	var out []string
-	for _, d := range s.Docs.Collection(CollKBs).Find(nil) {
+	for _, d := range docs {
 		if h, ok := d["host"].(string); ok {
 			out = append(out, h)
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Hosts lists systems with uploaded KBs, sorted.
+func (s *SuperDB) Hosts() []string {
+	return hostsOf(s.Docs.Collection(CollKBs).Find(nil))
 }
 
 // Observations returns the uploaded observation documents for a host (""

@@ -258,8 +258,8 @@ func scanUnit(u aggUnit, q *Query, plan *aggPlan, sc *aggScratch) (windowAggs, e
 }
 
 // quantile returns the q∈[0,1] quantile of sorted by linear
-// interpolation — the same estimator internal/superdb reports, so
-// engine percentiles and the legacy client-side fold agree.
+// interpolation — the repo's one percentile estimator: internal/superdb
+// reports the engine's percentiles rather than folding its own.
 func quantile(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {

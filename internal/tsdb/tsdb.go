@@ -987,14 +987,15 @@ func (db *DB) execRaw(q *Query) (*Result, error) {
 		}
 	}
 	if selectAll {
-		// Stabilise the column list.
+		// Stabilise the column list in a fresh slice: res.Columns still
+		// aliases the caller's q.Fields.
 		cols := map[string]bool{}
 		for _, r := range res.Rows {
 			for f := range r.Values {
 				cols[f] = true
 			}
 		}
-		res.Columns = res.Columns[:0]
+		res.Columns = make([]string, 0, len(cols))
 		for f := range cols {
 			res.Columns = append(res.Columns, f)
 		}

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -98,6 +99,36 @@ func TestSelectStar(t *testing.T) {
 	}
 	if len(res.Columns) != 2 || res.Columns[0] != "a" || res.Columns[1] != "b" {
 		t.Errorf("columns = %v", res.Columns)
+	}
+}
+
+// TestSelectStarReusedQuery runs one pre-parsed select-all *Query
+// twice: the column list must not be built in the caller's Fields, so
+// both runs return every column and q.Fields stays ["*"].
+func TestSelectStarReusedQuery(t *testing.T) {
+	db := New()
+	for i := int64(1); i <= 3; i++ {
+		if err := db.WritePoint(pt("m", i, "", map[string]float64{"a": 1, "b": 2})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := &Query{Fields: []string{"*"}, Measurement: "m"}
+	for run := 0; run < 2; run++ {
+		res, err := db.ExecuteContext(context.Background(), QueryRequest{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Columns) != 2 || res.Columns[0] != "a" || res.Columns[1] != "b" {
+			t.Errorf("run %d: columns = %v", run, res.Columns)
+		}
+		for _, r := range res.Rows {
+			if len(r.Values) != 2 {
+				t.Errorf("run %d: row values = %v", run, r.Values)
+			}
+		}
+	}
+	if len(q.Fields) != 1 || q.Fields[0] != "*" {
+		t.Errorf("query fields rewritten to %v", q.Fields)
 	}
 }
 
